@@ -18,7 +18,8 @@ import json
 import os
 from pathlib import Path
 
-from repro.harness import CellResult, ExperimentConfig, run_cell
+from repro.harness import ExperimentConfig, run_parallel_grid
+from repro.runtime import JournaledCell
 
 OUT_DIR = Path(__file__).parent / "out"
 
@@ -90,12 +91,21 @@ def record_text(name: str, text: str) -> None:
     (OUT_DIR / name).write_text(text + "\n")
 
 
-def table_cell(benchmark: str, flow: str, bits: int) -> CellResult:
-    """Run one table cell with the configured budgets."""
-    return run_cell(benchmark, flow, cell_config(bits))
+def table_cell(benchmark: str, flow: str, bits: int) -> JournaledCell:
+    """Run one table cell with the configured budgets.
+
+    Goes through the inline grid, the same path as ``repro-hlts
+    table1``, so the cell is the journal record a table renders from.
+    """
+    outcome = run_parallel_grid(benchmark, [(flow, bits)], cell_config,
+                                workers=1)
+    if not outcome.ok():
+        raise RuntimeError(f"{benchmark}/{flow}/{bits}-bit lost: "
+                           f"{outcome.skipped[0].reason}")
+    return outcome.cells[0]
 
 
-def paper_comparison(cell: CellResult) -> dict:
+def paper_comparison(cell: JournaledCell) -> dict:
     """Merge measured numbers with the paper's reported row."""
     key = (cell.benchmark, cell.flow, cell.bits)
     paper = PAPER_ROWS.get(key)

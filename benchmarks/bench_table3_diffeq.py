@@ -24,8 +24,8 @@ def test_table3_cell(benchmark, flow, bits):
     benchmark.extra_info.update(row)
     record_row("table3", row)
     _CELLS.append(cell)
-    assert cell.atpg.fault_coverage > 50.0
-    assert cell.design.dfg.loop_condition == "cond"
+    assert row["coverage_pct"] > 50.0
+    assert row["area_mm2"] > 0.0
 
 
 def test_table3_render(benchmark):

@@ -56,8 +56,21 @@ def _add_journal(parser: argparse.ArgumentParser) -> None:
                              "of recomputing them")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (a usage error, exit 2, otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_parallel(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
+    parser.add_argument("--workers", type=_positive_int, default=None,
+                        metavar="N",
                         help="worker processes for grid cells "
                              "(default: the CPU count; 1 = run inline)")
     parser.add_argument("--cache-dir", metavar="PATH", default=None,
@@ -1010,7 +1023,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="benchmark whose table grid is timed (default: ex)")
     p.add_argument("--bits", type=int, nargs="+", default=[4, 8, 16],
                    help="data-path widths of the grid (default: 4 8 16)")
-    p.add_argument("--workers", type=int, default=4, metavar="N",
+    p.add_argument("--workers", type=_positive_int, default=4, metavar="N",
                    help="worker processes for the parallel runs "
                         "(default: 4)")
     p.add_argument("--output", default="BENCH_tables.json",

@@ -22,9 +22,9 @@ cached:
   ``approach2``) ignore the cost model entirely, so their key excludes
   the bit width and one 4-bit synthesis serves the 8- and 16-bit cells.
 * **cell** — one full table cell, stored as the same record the
-  checkpoint :class:`~repro.runtime.checkpoint.Journal` uses and
-  restored as a :class:`~repro.runtime.checkpoint.JournaledCell`, so a
-  cache hit renders byte-identically to the cold run it memoises.
+  checkpoint :class:`~repro.runtime.checkpoint.Journal` uses
+  (:func:`run_cell_cached` returns it), so a cache hit renders
+  byte-identically to the cold run it memoises.
 
 The cache has an in-memory tier (per process) and an optional on-disk
 tier (``cache_dir``) shared by the parallel executor's workers: entries
@@ -318,36 +318,37 @@ def _restore_synthesis(payload: dict) -> "SynthesisResult":
 
 
 # ----------------------------------------------------------------------
-# Cache-aware cell runner
+# The cell evaluator
 # ----------------------------------------------------------------------
 def run_cell_cached(benchmark: str, flow: str, config: Any,
                     cache: Optional[ResultCache] = None,
-                    budget: Any = None) -> tuple[Any, dict]:
-    """Run (or restore) one table cell through the cache.
+                    budget: Any = None) -> dict:
+    """Evaluate (or restore) one table cell into its journal record.
 
-    Returns ``(cell, provenance)``: the cell is a live
-    :class:`~repro.harness.experiment.CellResult` on a miss and a
-    :class:`~repro.runtime.checkpoint.JournaledCell` on a hit — the two
-    render identically.  The provenance dict records the cell-tier
-    verdict and the per-cell cache counter deltas.
+    The one cell evaluator behind the parallel grid (inline and pooled)
+    and the service.  A cache hit re-serialises the stored record, so
+    it renders byte-identically to the cold run it memoises.  A
+    computed cell's record carries the ``cache_key`` it was stored
+    under (when a cache is given) and, for a budget-starved cell, the
+    ``degradation`` reasons as provenance; degraded cells are never
+    cached.
     """
     from ..bench import load
     from ..runtime.checkpoint import cell_record, restore_cell
     from .experiment import run_cell
 
-    if cache is None:
-        return run_cell(benchmark, flow, config, budget=budget), {
-            "cell_cache": "off"}
-
-    key = cell_key(load(benchmark), flow, config.bits, config)
-    before = cache.stats.snapshot()
-    record = cache.get_cell(key)
-    if record is not None:
-        return restore_cell(record), {
-            "cell_cache": "hit", "cache_key": key,
-            "cache_stats": cache.stats.delta(before).to_dict()}
+    provenance: dict[str, Any] = {}
+    if cache is not None:
+        key = cell_key(load(benchmark), flow, config.bits, config)
+        hit = cache.get_cell(key)
+        if hit is not None:
+            return cell_record(restore_cell(hit))
+        provenance["cache_key"] = key
     cell = run_cell(benchmark, flow, config, budget=budget, cache=cache)
-    if not cell.degraded:
-        cache.put_cell(key, cell_record(cell, provenance={"cache_key": key}))
-    return cell, {"cell_cache": "miss", "cache_key": key,
-                  "cache_stats": cache.stats.delta(before).to_dict()}
+    if cell.degradation:  # keep the why, not just the row's degraded bit
+        provenance["degradation"] = list(cell.degradation)
+    record = cell_record(cell, provenance=provenance)
+    if cache is not None:  # a copy: the caller owns the returned record
+        cache.put_cell(provenance["cache_key"],
+                       cell_record(restore_cell(record)))
+    return record

@@ -222,19 +222,6 @@ def _narrowed_area(design: Design, config: ExperimentConfig,
     return report.narrowed.total_mm2, True
 
 
-def run_benchmark_table(benchmark: str, bits_list: tuple[int, ...] = (4, 8, 16),
-                        flows: tuple[str, ...] = FLOW_ORDER,
-                        quick: bool = True) -> list[CellResult]:
-    """All cells of one paper table (every flow × bit width)."""
-    cells = []
-    for flow in flows:
-        for bits in bits_list:
-            config = (ExperimentConfig.quick(bits) if quick
-                      else ExperimentConfig(bits=bits))
-            cells.append(run_cell(benchmark, flow, config))
-    return cells
-
-
 def module_symbol(design: Design, module: str) -> str:
     """The paper's module-kind symbol: (*) multiplier, (+-) ALU..."""
     ops = design.binding.ops_on(module)

@@ -5,7 +5,7 @@ embarrassingly parallel: every cell is an independent synthesis + ATPG
 + costing pipeline.  :func:`run_parallel_grid` shards pending cells
 across a :class:`~concurrent.futures.ProcessPoolExecutor` (workers pull
 cells as they finish — work stealing for free) and composes with the
-PR-4 checkpoint machinery:
+checkpoint journal (:mod:`repro.runtime.checkpoint`):
 
 * **Journal ownership protocol** — workers never touch the journal.
   They return one serialised cell record (the exact
@@ -34,20 +34,25 @@ PR-4 checkpoint machinery:
 
 ``workers=1`` runs every cell inline in the parent process (no pool,
 no pickling), which is also the path that honours a shared
-:class:`Budget` and a parent-activated chaos injector.
+:class:`Budget` and a parent-activated chaos injector.  Both modes run
+the same task, :func:`_cell_task`, around the one cell evaluator
+:func:`~repro.harness.cache.run_cell_cached`, which the service uses
+too.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional, Union
 
 from ..runtime.budget import Budget
-from ..runtime.chaos import ChaosCrash, Injection, chaos_point, clear_injector
-from ..runtime.checkpoint import CellKey, Journal, cell_record, restore_cell
+from ..runtime.chaos import (ChaosCrash, ChaosInjector, Injection,
+                             active_injector, chaos_point, clear_injector)
+from ..runtime.checkpoint import CellKey, Journal, restore_cell
 from .cache import CacheStats, ResultCache, run_cell_cached
 
 
@@ -94,17 +99,15 @@ class GridOutcome:
 
 
 # ----------------------------------------------------------------------
-# Worker side
+# The cell task (inline and pooled)
 # ----------------------------------------------------------------------
-#: Per-process cache instances, keyed by disk-tier path ("" = none).
-#: A pool worker serves many cells; keeping one ResultCache per
-#: cache-dir gives it a warm in-memory tier across those cells.
+#: Per-process cache instances, keyed by disk-tier path.  A pool worker
+#: serves many cells; keeping one ResultCache per cache-dir gives it a
+#: warm in-memory tier across those cells.
 _PROCESS_CACHES: dict[str, ResultCache] = {}
 
 
-def _process_cache(cache_dir: Optional[str]) -> Optional[ResultCache]:
-    if cache_dir is None:
-        return None
+def _process_cache(cache_dir: str) -> ResultCache:
     cache = _PROCESS_CACHES.get(cache_dir)
     if cache is None:
         cache = ResultCache(cache_dir=Path(cache_dir))
@@ -121,69 +124,95 @@ def _worker_init() -> None:
     clear_injector()
 
 
-def _evaluate_cell(benchmark: str, flow: str, bits: int, config: Any,
-                   cache: Optional[ResultCache],
-                   budget: Optional[Budget]) -> dict:
-    """Evaluate one grid cell; plain-data payload, cheap to pickle.
+def _cell_task(benchmark: str, flow: str, bits: int, config: Any,
+               cache: Union[ResultCache, str, None],
+               budget: Optional[Budget] = None,
+               cell_wall_seconds: Optional[float] = None,
+               injections: tuple[Injection, ...] = ()
+               ) -> tuple[dict, CacheStats]:
+    """Evaluate one grid cell, inline or in a pool worker.
 
-    Returns ``{"record": <journal cell record>, "cache": <stats>}``.
-    The ``harness.worker`` seam at the top is where chaos plans kill a
+    ``cache`` is the parent's :class:`ResultCache` inline and a
+    disk-tier path in a worker (served by one per-process cache).  A
+    shared ``budget`` bounds the cell; without one,
+    ``cell_wall_seconds`` builds a fresh per-cell Budget.  Per-cell
+    chaos ``injections`` apply unless an injector is already active
+    (the parent's, inline), so plans never nest.  The
+    ``harness.worker`` seam at the top is where chaos plans kill a
     cell deterministically.
+
+    Returns the journal record and this cell's cache-counter delta —
+    plain data, cheap to pickle.
     """
-    chaos_point("harness.worker", (benchmark, flow, bits))
-    cell, provenance = run_cell_cached(benchmark, flow, config,
-                                       cache=cache, budget=budget)
-    if provenance.get("cell_cache") == "hit":
-        record = cell_record(cell)  # re-serialise the restored cell
-    else:
-        extra = {k: v for k, v in provenance.items() if k == "cache_key"}
-        reasons = tuple(getattr(cell, "degradation", ()))
-        if reasons:  # keep the why, not just the row's degraded bit
-            extra["degradation"] = list(reasons)
-        record = cell_record(cell, provenance=extra)
-    return {"record": record,
-            "cache": provenance.get("cache_stats",
-                                    CacheStats().to_dict())}
+    if isinstance(cache, str):
+        cache = _process_cache(cache)
+    if budget is None and cell_wall_seconds is not None:
+        budget = Budget(wall_seconds=cell_wall_seconds)
+    before = cache.stats.snapshot() if cache is not None else CacheStats()
+    with (ChaosInjector(*injections)
+          if injections and active_injector() is None else nullcontext()):
+        chaos_point("harness.worker", (benchmark, flow, bits))
+        record = run_cell_cached(benchmark, flow, config, cache=cache,
+                                 budget=budget)
+    return record, (cache.stats.delta(before) if cache is not None
+                    else before)
 
 
-def _worker_cell(benchmark: str, flow: str, bits: int, config: Any,
-                 cache_dir: Optional[str],
-                 cell_wall_seconds: Optional[float],
-                 injections: tuple[Injection, ...] = ()) -> dict:
-    """Pool-side cell evaluation: per-process cache, per-cell budget.
-
-    Raises on injected chaos (a simulated worker death), which the
-    parent degrades to a :class:`SkippedCell`.
-    """
-    from ..runtime.chaos import ChaosInjector
-
-    cache = _process_cache(cache_dir)
-    budget = (Budget(wall_seconds=cell_wall_seconds)
-              if cell_wall_seconds is not None else None)
-    if injections:
-        with ChaosInjector(*injections):
-            return _evaluate_cell(benchmark, flow, bits, config, cache,
-                                  budget)
-    return _evaluate_cell(benchmark, flow, bits, config, cache, budget)
+#: One pending cell: its grid key and the :func:`_cell_task` arguments.
+_Task = tuple[CellKey, tuple]
+#: Finished cells: each key with the task's result, or what it raised.
+_Completions = Generator[
+    tuple[CellKey, Union[tuple[dict, CacheStats], Exception]], None, None]
 
 
-def _run_cell_inline(benchmark: str, flow: str, bits: int, config: Any,
-                     cache: Optional[ResultCache],
-                     budget: Optional[Budget],
-                     injections: tuple[Injection, ...]) -> dict:
-    """The ``workers=1`` twin of :func:`_worker_cell`.
+def _label(key: CellKey) -> str:
+    return f"{key[0]}/{key[1]}/{key[2]}-bit"
 
-    Runs in the parent process, honours a *shared* budget across cells
-    and any already-active chaos injector (per-cell ``injections`` are
-    still applied when given and no injector is live, matching the
-    worker path without nesting)."""
-    from ..runtime.chaos import ChaosInjector, active_injector
 
-    if injections and active_injector() is None:
-        with ChaosInjector(*injections):
-            return _evaluate_cell(benchmark, flow, bits, config, cache,
-                                  budget)
-    return _evaluate_cell(benchmark, flow, bits, config, cache, budget)
+def _inline(tasks: list[_Task],
+            progress: Optional[Callable[[str], None]]) -> _Completions:
+    """Run the tasks one by one in this process."""
+    for key, args in tasks:
+        if progress:
+            progress(f"running {_label(key)} ...")
+        try:
+            result: Any = _cell_task(*args)
+        except ChaosCrash:
+            raise  # simulated death of *this* process must not be absorbed
+        except Exception as exc:  # noqa: BLE001 - degradation barrier
+            result = exc
+        yield key, result
+
+
+def _pooled(tasks: list[_Task], workers: int,
+            progress: Optional[Callable[[str], None]]) -> _Completions:
+    """Shard the tasks across a process pool, yielding in finish order."""
+    if not tasks:
+        return
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
+                             initializer=_worker_init) as pool:
+        futures = {}
+        for key, args in tasks:
+            if progress:
+                progress(f"dispatching {_label(key)} ...")
+            futures[pool.submit(_cell_task, *args)] = key
+        not_done = set(futures)
+        try:
+            while not_done:
+                finished, not_done = wait(not_done,
+                                          return_when=FIRST_COMPLETED)
+                for future in finished:
+                    try:
+                        result: Any = future.result()
+                    except Exception as exc:  # noqa: BLE001 - worker died
+                        result = exc
+                    yield futures[future], result
+        except BaseException:
+            # Ctrl-C (or the consumer closing us): drop queued cells.  A
+            # real SIGINT also reaches the workers — same process group
+            # — so the context manager's final wait is brief.
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
 
 
 # ----------------------------------------------------------------------
@@ -219,17 +248,21 @@ def run_parallel_grid(benchmark: str,
         budget: a shared Budget for the whole grid — inline only (a
             Budget is process-local), so ``workers`` is forced to 1
             when one is given.
-        cell_wall_seconds: per-cell wall-clock ceiling enforced inside
-            each worker by a fresh Budget; an overrunning cell degrades
-            to a valid partial row instead of hanging the pool.
+        cell_wall_seconds: per-cell wall-clock ceiling (when no shared
+            ``budget`` is given), enforced by a fresh Budget inside the
+            cell's task; an overrunning cell degrades to a valid
+            partial row instead of hanging the pool.
         worker_chaos: per-cell chaos plans (cell key -> injections),
-            activated inside the owning worker — the deterministic way
+            activated inside the owning task — the deterministic way
             to kill worker N of a parallel run.
         progress: optional per-cell status callback.
 
     Returns:
         A :class:`GridOutcome`; ``outcome.cells`` is in grid order and
         explicitly partial when workers failed (``outcome.skipped``).
+        A Ctrl-C returns the cells completed so far with
+        ``interrupted`` set; each of them is already journaled, so
+        ``resume`` continues where the interrupt landed.
     """
     import os
 
@@ -250,19 +283,50 @@ def run_parallel_grid(benchmark: str,
         if key in done:
             if key not in results:
                 if progress:
-                    progress(f"resuming {benchmark}/{flow}/{bits}-bit "
-                             f"from journal")
+                    progress(f"resuming {_label(key)} from journal")
                 results[key] = restore_cell(done[key])
                 outcome.replayed += 1
         elif key not in pending:
             pending.append(key)
 
-    if workers == 1:
-        _run_inline(pending, config_for, cache, budget, worker_chaos,
-                    journal, results, outcome, progress)
-    else:
-        _run_pool(pending, config_for, cache, workers, cell_wall_seconds,
-                  worker_chaos, journal, results, outcome, progress)
+    shared: Union[ResultCache, str, None] = cache
+    if workers > 1:  # workers reach the cache through its disk tier
+        shared = (str(cache.cache_dir)
+                  if cache is not None and cache.cache_dir is not None
+                  else None)
+    tasks = [(key, (*key, config_for(key[2]), shared, budget,
+                    cell_wall_seconds, worker_chaos.get(key, ())))
+             for key in pending]
+    completions = (_inline(tasks, progress) if workers == 1
+                   else _pooled(tasks, workers, progress))
+    try:
+        for key, result in completions:
+            if isinstance(result, Exception):
+                reason = f"{type(result).__name__}: {result}"
+                outcome.skipped.append(SkippedCell(*key, reason=reason))
+                if progress:
+                    progress(f"skipped {_label(key)}: {reason}")
+                continue
+            record, stats = result
+            if journal is not None:  # the parent is the sole writer
+                journal.append(record)
+            results[key] = restore_cell(record)
+            outcome.computed += 1
+            outcome.cache_stats.add(stats)
+            if progress:
+                verdict = ("cache hit" if stats.hits and not stats.misses
+                           else "computed")
+                progress(f"finished {_label(key)} ({verdict})")
+    except KeyboardInterrupt:
+        completions.close()
+        outcome.interrupted = True
+        lost = {s.key for s in outcome.skipped}
+        outcome.skipped.extend(SkippedCell(*key, reason="interrupted")
+                               for key in pending
+                               if key not in results and key not in lost)
+        if progress:
+            progress("interrupted; returning partial grid "
+                     "(journaled cells are safe, --resume continues)")
 
     emitted: set[CellKey] = set()
     for flow, bits in grid:
@@ -275,178 +339,9 @@ def run_parallel_grid(benchmark: str,
     return outcome
 
 
-def _journal_commit(journal: Optional[Journal], record: dict) -> None:
-    """Parent-side journal append (the sole writer in any mode)."""
-    if journal is not None:
-        journal.append(record)
-
-
-def _absorb(outcome: GridOutcome, results: dict[CellKey, Any],
-            key: CellKey, payload: dict,
-            journal: Optional[Journal],
-            progress: Optional[Callable[[str], None]]) -> None:
-    record = payload["record"]
-    _journal_commit(journal, record)
-    results[key] = restore_cell(record)
-    outcome.computed += 1
-    stats = payload.get("cache", {})
-    outcome.cache_stats.add(CacheStats(
-        memory_hits=int(stats.get("memory_hits", 0)),
-        disk_hits=int(stats.get("disk_hits", 0)),
-        misses=int(stats.get("misses", 0)),
-        stores=int(stats.get("stores", 0))))
-    if progress:
-        hit = "cache hit" if (stats.get("memory_hits", 0)
-                              + stats.get("disk_hits", 0)) and not \
-            stats.get("misses", 0) else "computed"
-        progress(f"finished {key[0]}/{key[1]}/{key[2]}-bit ({hit})")
-
-
-def _run_inline(pending: list[CellKey],
-                config_for: Callable[[int], Any],
-                cache: Optional[ResultCache],
-                budget: Optional[Budget],
-                worker_chaos: dict[CellKey, tuple[Injection, ...]],
-                journal: Optional[Journal],
-                results: dict[CellKey, Any],
-                outcome: GridOutcome,
-                progress: Optional[Callable[[str], None]]) -> None:
-    for index, key in enumerate(pending):
-        benchmark, flow, bits = key
-        if progress:
-            progress(f"running {benchmark}/{flow}/{bits}-bit ...")
-        try:
-            payload = _run_cell_inline(benchmark, flow, bits,
-                                       config_for(bits), cache, budget,
-                                       worker_chaos.get(key, ()))
-        except ChaosCrash:
-            raise  # simulated death of *this* process must not be absorbed
-        except KeyboardInterrupt:
-            outcome.interrupted = True
-            for later in pending[index:]:
-                outcome.skipped.append(
-                    SkippedCell(*later, reason="interrupted"))
-            if progress:
-                progress("interrupted; returning partial grid "
-                         "(journaled cells are safe, --resume continues)")
-            return
-        except Exception as exc:  # noqa: BLE001 - degradation barrier
-            outcome.skipped.append(SkippedCell(
-                benchmark, flow, bits, f"{type(exc).__name__}: {exc}"))
-            if progress:
-                progress(f"skipped {benchmark}/{flow}/{bits}-bit: "
-                         f"{type(exc).__name__}: {exc}")
-            continue
-        _absorb(outcome, results, key, payload, journal, progress)
-
-
-def _run_pool(pending: list[CellKey],
-              config_for: Callable[[int], Any],
-              cache: Optional[ResultCache],
-              workers: int,
-              cell_wall_seconds: Optional[float],
-              worker_chaos: dict[CellKey, tuple[Injection, ...]],
-              journal: Optional[Journal],
-              results: dict[CellKey, Any],
-              outcome: GridOutcome,
-              progress: Optional[Callable[[str], None]]) -> None:
-    if not pending:
-        return
-    cache_dir = (str(cache.cache_dir)
-                 if cache is not None and cache.cache_dir is not None
-                 else None)
-    workers = min(workers, len(pending))
-    with ProcessPoolExecutor(max_workers=workers,
-                             initializer=_worker_init) as pool:
-        futures = {}
-        for key in pending:
-            benchmark, flow, bits = key
-            if progress:
-                progress(f"dispatching {benchmark}/{flow}/{bits}-bit ...")
-            futures[pool.submit(
-                _worker_cell, benchmark, flow, bits, config_for(bits),
-                cache_dir, cell_wall_seconds,
-                worker_chaos.get(key, ()))] = key
-        not_done = set(futures)
-        try:
-            while not_done:
-                finished, not_done = wait(not_done,
-                                          return_when=FIRST_COMPLETED)
-                for future in finished:
-                    key = futures[future]
-                    try:
-                        payload = future.result()
-                    except Exception as exc:  # noqa: BLE001 - worker died
-                        outcome.skipped.append(SkippedCell(
-                            *key, reason=f"{type(exc).__name__}: {exc}"))
-                        if progress:
-                            progress(f"worker lost {key[0]}/{key[1]}/"
-                                     f"{key[2]}-bit: {type(exc).__name__}: "
-                                     f"{exc}")
-                        continue
-                    _absorb(outcome, results, key, payload, journal,
-                            progress)
-        except KeyboardInterrupt:
-            # Ctrl-C: give back what completed.  Journal appends happen
-            # as futures finish, so every absorbed cell is already
-            # fsynced; pending futures are cancelled and charged as
-            # skipped.  (A real SIGINT also reaches the workers — same
-            # process group — so the context manager's final wait is
-            # brief.)
-            outcome.interrupted = True
-            for future in not_done:
-                future.cancel()
-            pool.shutdown(wait=False, cancel_futures=True)
-            for future in not_done:
-                key = futures[future]
-                if key not in results:
-                    outcome.skipped.append(
-                        SkippedCell(*key, reason="interrupted"))
-            if progress:
-                progress("interrupted; returning partial grid "
-                         "(journaled cells are safe, --resume continues)")
-
-
 # ----------------------------------------------------------------------
 # Parallel parameter exploration
 # ----------------------------------------------------------------------
-def _worker_explore_point(benchmark: str, bits: int, k: int, alpha: float,
-                          beta: float, cache_dir: Optional[str]) -> dict:
-    """Synthesise one explore grid point in a worker; plain-data result."""
-    from ..bench import load
-    from ..cost import CostModel
-    from ..io import design_to_dict
-    from ..synth import SynthesisParams
-    from ..testability import analyze
-    from .cache import synthesis_key
-
-    dfg = load(benchmark)
-    cost_model = CostModel(bits=bits)
-    params = SynthesisParams(k=k, alpha=alpha, beta=beta)
-    cache = _process_cache(cache_dir)
-    result = None
-    if cache is not None:
-        key = synthesis_key(dfg, "ours", params, bits)
-        result = cache.get_synthesis(key)
-    if result is None:
-        from ..synth import run_ours
-        result = run_ours(dfg, params, cost_model)
-        if cache is not None:
-            cache.put_synthesis(key, result)
-    design = result.design
-    signature = [sorted(design.steps.items()),
-                 sorted(design.binding.module_of.items()),
-                 sorted(design.binding.register_of.items())]
-    return {
-        "params": [k, alpha, beta],
-        "signature": signature,
-        "execution_time": design.execution_time,
-        "hardware_mm2": cost_model.hardware_total(design.datapath),
-        "quality": analyze(design.datapath).design_quality(),
-        "design": design_to_dict(design),
-    }
-
-
 def explore_grid(benchmark: str, bits: int,
                  grid: Optional[list[tuple[int, float, float]]] = None,
                  *,
@@ -456,52 +351,38 @@ def explore_grid(benchmark: str, bits: int,
                  ) -> "list[Any]":
     """The parallel twin of :func:`repro.synth.explore.explore`.
 
-    Shards the (k, α, β) sweep across workers, then deduplicates by
-    design signature *in grid order* so the returned points match the
+    Maps the same per-point step (:func:`~repro.synth.explore.
+    explore_point`) over a process pool, then deduplicates by design
+    signature *in grid order*, so the returned points match the
     sequential sweep exactly regardless of completion order.
     """
     import os
+    from itertools import repeat
 
     from ..bench import load
     from ..cost import CostModel
-    from ..io import design_from_dict
-    from ..synth.explore import DEFAULT_GRID, DesignPoint, explore
+    from ..synth.explore import (DEFAULT_GRID, distinct_points, explore,
+                                 explore_point)
 
     grid = list(grid or DEFAULT_GRID)
+    dfg, cost_model = load(benchmark), CostModel(bits=bits)
     workers = workers or os.cpu_count() or 1
     if workers == 1:
-        return explore(load(benchmark), CostModel(bits=bits), grid,
-                       cache=cache)
+        return explore(dfg, cost_model, grid, cache=cache)
 
-    cache_dir = (str(cache.cache_dir)
-                 if cache is not None and cache.cache_dir is not None
-                 else None)
-    by_point: dict[tuple[int, float, float], dict] = {}
+    # Workers share only the disk tier: each task gets an empty memory
+    # tier over the same cache directory.
+    shared = (ResultCache(cache_dir=cache.cache_dir)
+              if cache is not None and cache.cache_dir is not None
+              else None)
+    swept: list[Any] = []
     with ProcessPoolExecutor(max_workers=min(workers, len(grid)),
                              initializer=_worker_init) as pool:
-        futures = {pool.submit(_worker_explore_point, benchmark, bits,
-                               k, alpha, beta, cache_dir): (k, alpha, beta)
-                   for k, alpha, beta in grid}
-        for future in futures:
-            point = futures[future]
-            by_point[point] = future.result()
+        for point, result in zip(grid, pool.map(
+                explore_point, repeat(dfg), repeat(cost_model), grid,
+                repeat(shared))):
+            swept.append(result)
             if progress:
                 progress(f"explored (k={point[0]}, a={point[1]:g}, "
                          f"b={point[2]:g})")
-
-    points: list[DesignPoint] = []
-    seen: set[str] = set()
-    import json
-    for point in grid:
-        payload = by_point[point]
-        signature = json.dumps(payload["signature"])
-        if signature in seen:
-            continue
-        seen.add(signature)
-        points.append(DesignPoint(
-            params=point,
-            execution_time=int(payload["execution_time"]),
-            hardware_mm2=float(payload["hardware_mm2"]),
-            quality=float(payload["quality"]),
-            design=design_from_dict(payload["design"])))
-    return points
+    return distinct_points(swept)

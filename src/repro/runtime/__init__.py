@@ -19,7 +19,7 @@ from .chaos import (ACTION_CANCEL_BUDGET, ACTION_CORRUPT, ACTION_CRASH,
                     ChaosInjector, Injection, active_injector, chaos_point,
                     clear_injector)
 from .checkpoint import (Journal, JournaledCell, cell_record, record_key,
-                         restore_cell, run_journaled_grid, scrubbed_records)
+                         restore_cell, scrubbed_records)
 from .scenarios import ScenarioOutcome, run_scenarios, scenario_names
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "clear_injector",
     "record_key",
     "restore_cell",
-    "run_journaled_grid",
     "run_scenarios",
     "scenario_names",
     "scrubbed_records",

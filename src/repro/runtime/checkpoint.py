@@ -10,7 +10,8 @@ record and the file always parses.  ``repro-hlts table*`` and
 ``bench`` grow ``--journal``/``--resume``: a resumed run replays
 finished cells from the journal (restored as :class:`JournaledCell`,
 which renders exactly like the live :class:`~repro.harness.experiment.
-CellResult` it checkpoints) and computes only the remainder.
+CellResult` it checkpoints) and computes only the remainder.  The
+grid loop itself is :func:`repro.harness.parallel.run_parallel_grid`.
 
 Everything a table needs is journaled — the flat ``row()`` dict plus
 the pre-rendered allocation lines — so restoring never re-runs
@@ -25,7 +26,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional
+from typing import Any
 
 from .atomic import atomic_write_text
 from .chaos import chaos_point
@@ -227,50 +228,3 @@ def scrubbed_records(records: list[dict],
                                  str(r.get("flow")), int(r.get("bits", 0))))
     return "\n".join(json.dumps(r, sort_keys=True) for r in scrubbed)
 
-
-def run_journaled_grid(benchmark: str,
-                       grid: Iterable[tuple[str, int]],
-                       config_for: Callable[[int], Any],
-                       journal: Optional[Journal] = None,
-                       resume: bool = False,
-                       progress: Callable[[str], None] | None = None,
-                       budget: Any = None) -> list[Any]:
-    """Run (or resume) a grid of table cells, journaling each completion.
-
-    Args:
-        benchmark: the benchmark every cell runs.
-        grid: (flow, bits) pairs in table order.
-        config_for: bits -> :class:`~repro.harness.experiment.
-            ExperimentConfig` for that column.
-        journal: where completed cells are committed (None = no
-            journaling).
-        resume: replay cells already in ``journal`` instead of
-            recomputing them.
-        progress: optional callable for per-cell status lines.
-        budget: optional :class:`~repro.runtime.budget.Budget` threaded
-            into each cell's synthesis + ATPG.
-
-    Returns:
-        One cell per grid entry — live ``CellResult`` for computed
-        cells, :class:`JournaledCell` for replayed ones.
-    """
-    from ..harness.experiment import run_cell
-
-    done = (journal.completed_cells()
-            if journal is not None and resume else {})
-    cells: list[Any] = []
-    for flow, bits in grid:
-        key: CellKey = (benchmark, flow, bits)
-        if key in done:
-            if progress:
-                progress(f"resuming {benchmark}/{flow}/{bits}-bit "
-                         f"from journal")
-            cells.append(restore_cell(done[key]))
-            continue
-        if progress:
-            progress(f"running {benchmark}/{flow}/{bits}-bit ...")
-        cell = run_cell(benchmark, flow, config_for(bits), budget=budget)
-        if journal is not None:
-            journal.append(cell_record(cell))
-        cells.append(cell)
-    return cells

@@ -23,7 +23,7 @@ from typing import Callable
 from .budget import Budget
 from .chaos import (ACTION_CANCEL_BUDGET, ACTION_CORRUPT, ACTION_CRASH,
                     ACTION_RAISE, ChaosCrash, ChaosInjector, Injection)
-from .checkpoint import Journal, run_journaled_grid, scrubbed_records
+from .checkpoint import Journal, scrubbed_records
 
 
 @dataclass(frozen=True)
@@ -194,32 +194,33 @@ def scenario_journal_crash_resume(benchmark: str, bits: int,
     """Kill a journaled grid between cell commits, resume it, and
     demand the resumed rows match an uninterrupted run byte-for-byte
     (modulo the wall-clock column)."""
+    from ..harness.parallel import run_parallel_grid
+
     grid = [("camad", bits), ("ours", bits)]
 
-    def config_for(b: int):
-        return _quick_config(b)
+    def run(journal: Journal, resume: bool = False):
+        return run_parallel_grid(benchmark, grid, _quick_config, workers=1,
+                                 journal=journal, resume=resume)
 
     reference = Journal(workdir / "reference.jsonl")
-    run_journaled_grid(benchmark, grid, config_for, journal=reference)
+    run(reference)
 
     crashed = Journal(workdir / "crashed.jsonl")
     died = False
     try:
         with ChaosInjector(Injection("journal.pre_write", ACTION_CRASH,
                                      at_visit=2)):
-            run_journaled_grid(benchmark, grid, config_for, journal=crashed)
+            run(crashed)
     except ChaosCrash:
         died = True
     mid_records = crashed.records()  # must parse: never truncated
-    resumed_cells = run_journaled_grid(benchmark, grid, config_for,
-                                       journal=crashed, resume=True)
-    replayed = sum(1 for c in resumed_cells
-                   if type(c).__name__ == "JournaledCell")
+    resumed = run(crashed, resume=True)
     return _check([
         ("injected crash killed the run mid-grid", died),
         ("journal survived the crash as valid JSONL with one cell",
          len(mid_records) == 1),
-        ("resume replayed the journaled cell", replayed == 1),
+        ("resume replayed the journaled cell and computed only the rest",
+         resumed.replayed == 1 and resumed.computed == 1),
         ("resumed journal rows byte-identical to uninterrupted run "
          "(wall-clock masked)",
          _scrubbed(crashed.records()) == _scrubbed(reference.records())),
@@ -237,15 +238,12 @@ def scenario_worker_crash(benchmark: str, bits: int,
     grid = [("camad", bits), ("approach2", bits)]
     crash_key = (benchmark, "approach2", bits)
 
-    def config_for(b: int):
-        return _quick_config(b)
-
     journal = Journal(workdir / "journal.jsonl")
     outcome = run_parallel_grid(
-        benchmark, grid, config_for, workers=2, journal=journal,
+        benchmark, grid, _quick_config, workers=2, journal=journal,
         worker_chaos={crash_key: (Injection("harness.worker",
                                             ACTION_CRASH),)})
-    resumed = run_parallel_grid(benchmark, grid, config_for, workers=2,
+    resumed = run_parallel_grid(benchmark, grid, _quick_config, workers=2,
                                 journal=journal, resume=True)
     return _check([
         ("crashed worker lost exactly its own cell",

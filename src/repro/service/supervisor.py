@@ -51,7 +51,6 @@ from typing import Any, Callable, Optional
 
 from ..runtime.budget import Budget
 from ..runtime.chaos import ChaosCrash, chaos_point
-from ..runtime.checkpoint import cell_record
 from .ledger import (CANCELLED, DONE, FAILED, QUARANTINED, RUNNING,
                      SUBMITTED, JobState)
 from .spool import JobRequest, Spool
@@ -131,7 +130,9 @@ class _Slot:
 def _execute_request(request: JobRequest, cache: Any) -> dict:
     """Evaluate one job into a journal-style cell record.
 
-    The per-job :class:`Budget` (deadline + step ceiling) rides the
+    A thin seam over the harness's cell evaluator
+    (:func:`~repro.harness.cache.run_cell_cached`): it only builds the
+    per-job :class:`Budget` (deadline + step ceiling), which rides the
     whole pipeline, so an over-budget job returns a valid, explicitly
     degraded partial record instead of hanging.
     """
@@ -141,16 +142,8 @@ def _execute_request(request: JobRequest, cache: Any) -> dict:
     if request.deadline_seconds is not None or request.max_steps is not None:
         budget = Budget(wall_seconds=request.deadline_seconds,
                         max_steps=request.max_steps)
-    cell, provenance = run_cell_cached(request.benchmark, request.flow,
-                                       request.config(), cache=cache,
-                                       budget=budget)
-    if provenance.get("cell_cache") == "hit":
-        return cell_record(cell)
-    extra = {k: v for k, v in provenance.items() if k == "cache_key"}
-    reasons = tuple(getattr(cell, "degradation", ()))
-    if reasons:
-        extra["degradation"] = list(reasons)
-    return cell_record(cell, provenance=extra)
+    return run_cell_cached(request.benchmark, request.flow,
+                           request.config(), cache=cache, budget=budget)
 
 
 def _process_worker(spool_root: str, job_id: str, request_dict: dict,
@@ -312,20 +305,42 @@ class Supervisor:
         outcome.retried += 1
 
     # ------------------------------------------------------------------
-    # Inline mode
+    # Claim (shared by both modes)
     # ------------------------------------------------------------------
-    def _execute_one(self, job_id: str, outcome: ServiceOutcome) -> None:
+    def _claim(self, job_id: str, outcome: ServiceOutcome
+               ) -> Optional[tuple[int, JobRequest]]:
+        """Take a dequeued job: the ``service.dequeue`` seam, the
+        cancelled-skip, the ``running`` commit, then the request load.
+
+        Returns ``(attempt, request)``, or None when the job was skipped
+        or its request could not be loaded (charged as a failure).
+        """
         chaos_point("service.dequeue", job_id)
         state = self._states.get(job_id)
         if state is not None and state.state == CANCELLED:
             outcome.skipped_cancelled += 1
             self._log(f"{job_id[:12]} skipped (cancelled)")
-            return
+            return None
         attempt = (state.attempts if state else 0) + 1
         self._ledger(job_id, RUNNING, attempt=attempt)
         outcome.processed += 1
         try:
-            request = self.spool.request(job_id)
+            return attempt, self.spool.request(job_id)
+        except ChaosCrash:
+            raise
+        except Exception as exc:  # noqa: BLE001 - the retry barrier
+            self._failure(job_id, f"{type(exc).__name__}: {exc}", outcome)
+            return None
+
+    # ------------------------------------------------------------------
+    # Inline mode
+    # ------------------------------------------------------------------
+    def _execute_one(self, job_id: str, outcome: ServiceOutcome) -> None:
+        claim = self._claim(job_id, outcome)
+        if claim is None:
+            return
+        attempt, request = claim
+        try:
             chaos_point("service.dispatch", job_id)
             record = _execute_request(request, self.cache)
         except ChaosCrash:
@@ -377,17 +392,11 @@ class Supervisor:
                outcome: ServiceOutcome) -> Optional[_Slot]:
         import multiprocessing
 
-        chaos_point("service.dequeue", job_id)
-        state = self._states.get(job_id)
-        if state is not None and state.state == CANCELLED:
-            outcome.skipped_cancelled += 1
-            self._log(f"{job_id[:12]} skipped (cancelled)")
+        claim = self._claim(job_id, outcome)
+        if claim is None:
             return None
-        attempt = (state.attempts if state else 0) + 1
-        self._ledger(job_id, RUNNING, attempt=attempt)
-        outcome.processed += 1
+        attempt, request = claim
         try:
-            request = self.spool.request(job_id)
             chaos_point("service.dispatch", job_id)
             cache_dir = (str(self.cache.cache_dir)
                          if self.cache is not None

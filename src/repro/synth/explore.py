@@ -9,12 +9,21 @@ runs to pick (k, α, β) for a new behaviour instead of guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..cost import CostModel
 from ..dfg import DFG
 from ..etpn.design import Design
 from ..testability import analyze
 from .algorithm import SynthesisParams, synthesize
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..harness.cache import ResultCache
+    from .result import SynthesisResult
+
+#: What two sweep points must share to be the same design: schedule,
+#: module binding and register binding.
+Signature = tuple[tuple, tuple, tuple]
 
 #: The default sweep grid: the paper's settings plus the extremes that
 #: actually move the result (k and the α/β ratio).
@@ -45,45 +54,62 @@ class DesignPoint:
         return no_worse and better
 
 
-def explore(dfg: DFG, cost_model: CostModel | None = None,
-            grid: list[tuple[int, float, float]] | None = None,
-            cache: object | None = None) -> list[DesignPoint]:
-    """Sweep the grid and return every distinct design point.
+def explore_point(dfg: DFG, cost_model: CostModel,
+                  params: tuple[int, float, float],
+                  cache: Optional["ResultCache"] = None
+                  ) -> tuple[Signature, DesignPoint]:
+    """Synthesise one sweep point and measure its three objectives.
 
     ``cache`` is an optional :class:`~repro.harness.cache.ResultCache`:
-    each grid point's synthesis is keyed on the canonical DFG and the
-    full parameter set, so re-running a sweep (or sharing parameters
-    with a table run) is served from the cache.
+    the synthesis is keyed on the canonical DFG and the full parameter
+    set, so re-running a sweep (or sharing parameters with a table run)
+    is served from the cache.  Returns the design's signature with the
+    point; a module-level function of picklable arguments, so a process
+    pool maps it as readily as :func:`explore` does.
     """
-    cost_model = cost_model or CostModel()
+    k, alpha, beta = params
+    synthesis_params = SynthesisParams(k=k, alpha=alpha, beta=beta)
+    result: Optional["SynthesisResult"] = None
+    key: Optional[str] = None
+    if cache is not None:
+        from ..harness.cache import synthesis_key
+        key = synthesis_key(dfg, "ours", synthesis_params, cost_model.bits)
+        result = cache.get_synthesis(key)
+    if result is None:
+        result = synthesize(dfg, synthesis_params, cost_model)
+        if cache is not None and key is not None:
+            cache.put_synthesis(key, result)
+    design = result.design
+    signature = (tuple(sorted(design.steps.items())),
+                 tuple(sorted(design.binding.module_of.items())),
+                 tuple(sorted(design.binding.register_of.items())))
+    return signature, DesignPoint(
+        params=(k, alpha, beta),
+        execution_time=design.execution_time,
+        hardware_mm2=cost_model.hardware_total(design.datapath),
+        quality=analyze(design.datapath).design_quality(),
+        design=design)
+
+
+def distinct_points(swept: Iterable[tuple[Signature, DesignPoint]]
+                    ) -> list[DesignPoint]:
+    """The first point of every distinct design, in sweep order."""
     points: list[DesignPoint] = []
-    seen: set[tuple] = set()
-    for k, alpha, beta in (grid or DEFAULT_GRID):
-        params = SynthesisParams(k=k, alpha=alpha, beta=beta)
-        result = None
-        key = None
-        if cache is not None:
-            from ..harness.cache import synthesis_key
-            key = synthesis_key(dfg, "ours", params, cost_model.bits)
-            result = cache.get_synthesis(key)  # type: ignore[attr-defined]
-        if result is None:
-            result = synthesize(dfg, params, cost_model)
-            if cache is not None and key is not None:
-                cache.put_synthesis(key, result)  # type: ignore[attr-defined]
-        design = result.design
-        signature = (tuple(sorted(design.steps.items())),
-                     tuple(sorted(design.binding.module_of.items())),
-                     tuple(sorted(design.binding.register_of.items())))
-        if signature in seen:
-            continue
-        seen.add(signature)
-        points.append(DesignPoint(
-            params=(k, alpha, beta),
-            execution_time=design.execution_time,
-            hardware_mm2=cost_model.hardware_total(design.datapath),
-            quality=analyze(design.datapath).design_quality(),
-            design=design))
+    seen: set[Signature] = set()
+    for signature, point in swept:
+        if signature not in seen:
+            seen.add(signature)
+            points.append(point)
     return points
+
+
+def explore(dfg: DFG, cost_model: CostModel | None = None,
+            grid: list[tuple[int, float, float]] | None = None,
+            cache: Optional["ResultCache"] = None) -> list[DesignPoint]:
+    """Sweep the grid and return every distinct design point."""
+    cost_model = cost_model or CostModel()
+    return distinct_points(explore_point(dfg, cost_model, params, cache)
+                           for params in (grid or DEFAULT_GRID))
 
 
 def pareto_front(points: list[DesignPoint]) -> list[DesignPoint]:

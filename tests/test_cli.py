@@ -67,3 +67,21 @@ class TestCliExtensions:
         rows.write_text("")
         assert main(["report", "--rows", str(rows)]) == 0
         assert "no rows recorded" in capsys.readouterr().out
+
+
+class TestWorkersValidation:
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--bits", "4"],
+        ["table2", "--bits", "4"],
+        ["table3", "--bits", "4"],
+        ["bench", "ex", "--flow", "camad", "--bits", "4"],
+        ["explore", "ex", "--bits", "4"],
+    ])
+    @pytest.mark.parametrize("workers", ["-1", "0", "two"])
+    def test_workers_below_one_is_a_usage_error(self, argv, workers,
+                                                capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--workers", workers])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--workers" in err and "Traceback" not in err

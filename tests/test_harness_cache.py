@@ -6,7 +6,7 @@ from repro.harness import ExperimentConfig, render_table, \
     synthesize_flow_result
 from repro.harness.cache import (BIT_INDEPENDENT_FLOWS, ResultCache,
                                  cell_key, run_cell_cached, synthesis_key)
-from repro.runtime import Budget
+from repro.runtime import Budget, restore_cell
 from repro.synth import SynthesisParams
 
 
@@ -78,36 +78,50 @@ class TestSynthesisTier:
 class TestCellTier:
     def test_hit_rows_equal_cold_rows(self, tmp_path):
         cache = ResultCache(cache_dir=tmp_path / "cache")
-        cold, cold_prov = run_cell_cached("ex", "camad", _tiny_config(4),
-                                          cache=cache)
-        assert cold_prov["cell_cache"] == "miss"
-        warm, warm_prov = run_cell_cached("ex", "camad", _tiny_config(4),
-                                          cache=cache)
-        assert warm_prov["cell_cache"] == "hit"
-        assert warm_prov["cache_key"] == cold_prov["cache_key"]
+        cold = run_cell_cached("ex", "camad", _tiny_config(4), cache=cache)
+        assert cache.stats.misses >= 1 and cache.stats.hits == 0
+        before = cache.stats.snapshot()
+        warm = run_cell_cached("ex", "camad", _tiny_config(4), cache=cache)
+        delta = cache.stats.delta(before)
+        assert delta.memory_hits == 1 and delta.misses == 0
+        assert warm["provenance"]["cache_key"] == \
+            cold["provenance"]["cache_key"]
         # The hit restores the stored record verbatim, wall clock and
         # all, so the rendered table is byte-identical to the cold run.
-        assert warm.row() == cold.row()
-        assert render_table("ex", [warm]) == render_table("ex", [cold])
+        assert warm == cold
+        assert render_table("ex", [restore_cell(warm)]) == \
+            render_table("ex", [restore_cell(cold)])
 
     def test_disk_tier_survives_a_new_process_worth_of_state(self, tmp_path):
         shared = tmp_path / "cache"
         first = ResultCache(cache_dir=shared)
-        run_cell_cached("ex", "camad", _tiny_config(4), cache=first)
+        cold = run_cell_cached("ex", "camad", _tiny_config(4), cache=first)
         fresh = ResultCache(cache_dir=shared)   # empty memory tier
-        _, provenance = run_cell_cached("ex", "camad", _tiny_config(4),
-                                        cache=fresh)
-        assert provenance["cell_cache"] == "hit"
-        assert fresh.stats.disk_hits >= 1
+        warm = run_cell_cached("ex", "camad", _tiny_config(4), cache=fresh)
+        assert warm == cold
+        assert fresh.stats.disk_hits >= 1 and fresh.stats.misses == 0
 
     def test_degraded_cell_never_cached(self):
         cache = ResultCache()
-        cell, provenance = run_cell_cached(
+        record = run_cell_cached(
             "ex", "ours", _tiny_config(4), cache=cache,
             budget=Budget(max_steps=1))
-        assert cell.row()["degraded"] is True
-        assert provenance["cell_cache"] == "miss"
-        assert cache.get_cell(provenance["cache_key"]) is None
+        assert record["row"]["degraded"] is True
+        assert any("budget_exhausted" in reason
+                   for reason in record["provenance"]["degradation"])
+        assert cache.get_cell(record["provenance"]["cache_key"]) is None
+
+    def test_returned_record_does_not_alias_the_cache(self):
+        cache = ResultCache()
+        cold = run_cell_cached("ex", "camad", _tiny_config(4), cache=cache)
+        cold["row"]["coverage_pct"] = -1.0
+        warm = run_cell_cached("ex", "camad", _tiny_config(4), cache=cache)
+        assert warm["row"]["coverage_pct"] != -1.0
+
+    def test_no_cache_record_has_no_cache_key(self):
+        record = run_cell_cached("ex", "camad", _tiny_config(4))
+        assert record["kind"] == "cell" and record["flow"] == "camad"
+        assert "cache_key" not in record.get("provenance", {})
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         writer = ResultCache(cache_dir=tmp_path)

@@ -79,11 +79,12 @@ class TestDegradation:
 
 
 class TestExploreGrid:
-    def test_parallel_sweep_matches_sequential(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_parallel_sweep_matches_sequential(self, workers):
         from repro.synth import explore
-        small = [(1, 2.0, 1.0), (3, 2.0, 1.0)]
+        small = [(1, 2.0, 1.0), (3, 2.0, 1.0), (3, 2.0, 1.0)]
         seq = explore(load("ex"), CostModel(bits=4), small)
-        par = explore_grid("ex", 4, small, workers=2)
+        par = explore_grid("ex", 4, small, workers=workers)
 
         def flatten(points):
             return [(p.params, p.execution_time,
@@ -91,6 +92,7 @@ class TestExploreGrid:
                     for p in points]
 
         assert flatten(par) == flatten(seq)
+        assert len(seq) < len(small)            # the repeat was deduplicated
 
 
 class TestInterrupt:
@@ -99,17 +101,14 @@ class TestInterrupt:
         import repro.harness.parallel as parallel_module
 
         journal = Journal(tmp_path / "grid.jsonl")
-        real_inline = parallel_module._run_cell_inline
+        real_task = parallel_module._cell_task
 
-        def interrupting(benchmark, flow, bits, config, cache, budget,
-                         injections):
+        def interrupting(benchmark, flow, *args):
             if flow == "approach2":
                 raise KeyboardInterrupt
-            return real_inline(benchmark, flow, bits, config, cache,
-                               budget, injections)
+            return real_task(benchmark, flow, *args)
 
-        monkeypatch.setattr(parallel_module, "_run_cell_inline",
-                            interrupting)
+        monkeypatch.setattr(parallel_module, "_cell_task", interrupting)
         outcome = run_parallel_grid("ex", GRID, _tiny_config, workers=1,
                                     journal=journal)
         assert outcome.interrupted
@@ -118,8 +117,7 @@ class TestInterrupt:
         assert outcome.skipped[0].reason == "interrupted"
         # the finished cell was journaled before the interrupt, so a
         # resume completes the grid without an interrupt in sight
-        monkeypatch.setattr(parallel_module, "_run_cell_inline",
-                            real_inline)
+        monkeypatch.setattr(parallel_module, "_cell_task", real_task)
         resumed = run_parallel_grid("ex", GRID, _tiny_config, workers=1,
                                     journal=journal, resume=True)
         assert resumed.ok() and not resumed.interrupted
@@ -138,3 +136,47 @@ class TestInterrupt:
         assert sorted(s.key for s in outcome.skipped) == \
             sorted(("ex", flow, bits) for flow, bits in GRID)
         assert all(s.reason == "interrupted" for s in outcome.skipped)
+
+
+class TestOneEvaluator:
+    """The grid and the service evaluate a cell through the same code."""
+
+    REQUEST = dict(benchmark="ex", flow="camad", bits=4, fault_fraction=0.25,
+                   max_sequences=4, saturation=2, sequence_length=12,
+                   max_backtracks=16)
+
+    def _service_record(self, spool_dir, cache) -> dict:
+        from repro.service import JobRequest, Spool, Supervisor
+        spool = Spool(spool_dir)
+        jid, _ = spool.submit(JobRequest(**self.REQUEST))
+        outcome = Supervisor(spool, workers=1, cache=cache).run()
+        assert outcome.done == 1
+        record = spool.read_result(jid)
+        assert record is not None
+        return record
+
+    def _grid_record(self, cache) -> dict:
+        from repro.service import JobRequest
+        request = JobRequest(**self.REQUEST)
+        outcome = run_parallel_grid(
+            "ex", [(request.flow, request.bits)],
+            lambda bits: request.config(), workers=1, cache=cache)
+        assert outcome.ok()
+        return cell_record(outcome.cells[0])
+
+    def test_grid_and_service_records_identical(self, tmp_path):
+        from repro.harness import ResultCache
+        grid = self._grid_record(ResultCache())
+        service = self._service_record(tmp_path / "cold", ResultCache())
+        assert scrubbed_records([grid]) == scrubbed_records([service])
+        # Same inputs, same cache key: the two paths share cache entries.
+        assert grid["provenance"] == service["provenance"]
+
+    def test_service_hits_what_the_grid_cached(self, tmp_path):
+        from repro.harness import ResultCache
+        cache = ResultCache(cache_dir=tmp_path / "cache")
+        grid = self._grid_record(cache)
+        before = cache.stats.snapshot()
+        service = self._service_record(tmp_path / "warm", cache)
+        assert cache.stats.delta(before).misses == 0
+        assert service == grid                  # wall clock and all

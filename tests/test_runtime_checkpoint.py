@@ -8,10 +8,11 @@ import pytest
 from repro.atpg import RandomPhaseConfig
 from repro.bench import load
 from repro.harness import ExperimentConfig, render_table, run_cell
+from repro.harness.parallel import run_parallel_grid
 from repro.io import load_design, save_design
 from repro.runtime import (Journal, JournaledCell, atomic_write_text,
                            cell_record, record_key, restore_cell,
-                           run_journaled_grid, scrubbed_records)
+                           scrubbed_records)
 from repro.runtime.checkpoint import JOURNAL_FORMAT
 from repro.synth import run_ours
 
@@ -182,29 +183,36 @@ class TestScrubbedRecords:
 
 
 class TestJournaledGrid:
+    """The inline grid (``workers=1``) as a journaled, resumable loop."""
+
     def test_resume_replays_instead_of_recomputing(self, tmp_path):
         grid = [("camad", 4), ("ours", 4)]
         journal = Journal(tmp_path / "grid.jsonl")
-        first = run_journaled_grid("ex", grid, _tiny_config,
-                                   journal=journal)
+        first = run_parallel_grid("ex", grid, _tiny_config, workers=1,
+                                  journal=journal)
+        assert first.computed == 2 and first.replayed == 0
         assert len(journal.records()) == 2
         progress: list[str] = []
-        second = run_journaled_grid("ex", grid, _tiny_config,
-                                    journal=journal, resume=True,
-                                    progress=progress.append)
-        assert all(isinstance(c, JournaledCell) for c in second)
+        second = run_parallel_grid("ex", grid, _tiny_config, workers=1,
+                                   journal=journal, resume=True,
+                                   progress=progress.append)
+        assert second.replayed == 2 and second.computed == 0
         assert sum("resuming" in p for p in progress) == 2
-        assert [c.row() for c in second] == [c.row() for c in first]
+        assert [c.row() for c in second.cells] == \
+            [c.row() for c in first.cells]
+        assert len(journal.records()) == 2      # nothing re-journaled
 
     def test_without_resume_recomputes(self, tmp_path):
         grid = [("ours", 4)]
         journal = Journal(tmp_path / "grid.jsonl")
-        run_journaled_grid("ex", grid, _tiny_config, journal=journal)
-        again = run_journaled_grid("ex", grid, _tiny_config,
-                                   journal=journal, resume=False)
-        assert not any(isinstance(c, JournaledCell) for c in again)
+        run_parallel_grid("ex", grid, _tiny_config, workers=1,
+                          journal=journal)
+        again = run_parallel_grid("ex", grid, _tiny_config, workers=1,
+                                  journal=journal, resume=False)
+        assert again.replayed == 0 and again.computed == 1
 
     def test_no_journal_is_plain_run(self):
-        cells = run_journaled_grid("ex", [("ours", 4)], _tiny_config)
-        assert len(cells) == 1
-        assert cells[0].row()["flow"] == "ours"
+        outcome = run_parallel_grid("ex", [("ours", 4)], _tiny_config,
+                                    workers=1)
+        assert outcome.ok() and len(outcome.cells) == 1
+        assert outcome.cells[0].row()["flow"] == "ours"

@@ -18,23 +18,18 @@ Each cell records the min-over-repeats wall time of a full
 :class:`~repro.analysis.reach_graph.ReachabilityGraph` build against a
 full :func:`~repro.analysis.structural.structural_certificate`
 computation, plus the marking/edge counts (via the graph's own
-counters) and a verdict-agreement check between the tiers.  The report
-is written atomically (:func:`~repro.runtime.atomic.atomic_write_text`)
-so an interrupted run never leaves a truncated baseline file.
+counters) and a verdict-agreement check between the tiers.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from typing import Callable, Optional
+from typing import Optional
 
 from ..analysis.reach_graph import ReachabilityGraph
 from ..analysis.structural import Verdict, structural_certificate
 from ..analysis.tiers import stuck_markings
-from ..bench import names
 from ..petri.net import PetriNet
-from ..runtime.atomic import atomic_write_text
+from .benchkit import Progress, best_of, ratio, sweep, write_report
 from .experiment import synthesize_flow
 
 #: Widest fork considered for a stress net.
@@ -47,6 +42,12 @@ MAX_STRESS_MARKINGS = 20_000
 
 #: Report schema tag, bumped when the cell layout changes.
 SCHEMA = "repro.bench_analysis/v1"
+
+#: One-line statement of the measurement discipline.
+PROTOCOL = ("min over repeats of a full ReachabilityGraph build vs a full "
+            "structural_certificate on each benchmark's fork-join stress "
+            "net (the ours-flow schedule replicated into parallel "
+            "branches); the two tiers' verdicts must agree")
 
 
 def pick_branches(length: int) -> int:
@@ -99,19 +100,9 @@ def time_cell(benchmark: str, bits: int, repeats: int) -> dict:
     length = max(1, len(design.control_net.places) - 1)
     net = stress_net(benchmark, length)
 
-    graph = ReachabilityGraph(net)
-    bfs_seconds = graph.elapsed_seconds
-    for _ in range(repeats - 1):
-        bfs_seconds = min(bfs_seconds,
-                          ReachabilityGraph(net).elapsed_seconds)
-
-    cert = structural_certificate(net)
-    structural_seconds = cert.elapsed_seconds
-    for _ in range(repeats - 1):
-        t0 = time.perf_counter()
-        structural_certificate(net)
-        structural_seconds = min(structural_seconds,
-                                 time.perf_counter() - t0)
+    bfs_seconds, graph = best_of(lambda: ReachabilityGraph(net), repeats)
+    structural_seconds, cert = best_of(lambda: structural_certificate(net),
+                                       repeats)
 
     enum_safe = graph.is_safe()
     enum_live = not stuck_markings(net, graph)
@@ -128,8 +119,7 @@ def time_cell(benchmark: str, bits: int, repeats: int) -> dict:
         "edges": graph.edge_count,
         "bfs_seconds": round(bfs_seconds, 6),
         "structural_seconds": round(structural_seconds, 6),
-        "speedup": round(bfs_seconds / structural_seconds, 2)
-        if structural_seconds else None,
+        "speedup": ratio(bfs_seconds, structural_seconds),
         "structural_faster": structural_seconds < bfs_seconds,
         "safe_agrees": (cert.safe is Verdict.PROVED) == enum_safe
         if cert.safe.decided else True,
@@ -140,26 +130,20 @@ def time_cell(benchmark: str, bits: int, repeats: int) -> dict:
 
 def run_bench_analysis(bits: Optional[list[int]] = None, repeats: int = 3,
                        output: str = "BENCH_analysis.json",
-                       progress: Optional[Callable[[str], None]] = None
-                       ) -> dict:
+                       progress: Progress = None) -> dict:
     """Time every benchmark × width cell and write the baseline file.
 
     Returns the report dict (also written to ``output`` atomically).
     """
-    widths = bits if bits is not None else [4, 8]
-    cells = []
-    for benchmark in names():
-        for width in widths:
-            cell = time_cell(benchmark, width, repeats)
-            cells.append(cell)
-            if progress is not None:
-                progress(f"{benchmark}/{width}-bit: "
-                         f"{cell['markings']} markings, "
-                         f"bfs {cell['bfs_seconds'] * 1e3:.2f}ms vs "
-                         f"structural "
-                         f"{cell['structural_seconds'] * 1e3:.2f}ms")
-    report = {
-        "schema": SCHEMA,
+    cells = sweep(bits if bits is not None else [4, 8],
+                  lambda benchmark, width: time_cell(benchmark, width,
+                                                     repeats),
+                  lambda cell: (f"{cell['markings']} markings, "
+                                f"bfs {cell['bfs_seconds'] * 1e3:.2f}ms vs "
+                                f"structural "
+                                f"{cell['structural_seconds'] * 1e3:.2f}ms"),
+                  progress)
+    return write_report(output, SCHEMA, PROTOCOL, {
         "branch_policy": f"widest fork in [2, {MAX_BRANCHES}] with "
                          f"steps**branches <= {MAX_STRESS_MARKINGS}",
         "repeats": repeats,
@@ -168,6 +152,14 @@ def run_bench_analysis(bits: Optional[list[int]] = None, repeats: int = 3,
         "structural_faster": sum(c["structural_faster"] for c in cells),
         "verdicts_agree": all(c["safe_agrees"] and c["deadlock_agrees"]
                               for c in cells),
-    }
-    atomic_write_text(output, json.dumps(report, indent=2) + "\n")
-    return report
+    })
+
+
+#: The ``bench-analysis`` result line, formatted over the report.
+SUMMARY = ("{cells_total} cells, structural faster on "
+           "{structural_faster}/{cells_total}")
+
+
+def passed(report: dict) -> bool:
+    """Structural must beat BFS on every cell."""
+    return bool(report["structural_faster"] == report["cells_total"])

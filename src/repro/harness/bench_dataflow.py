@@ -23,74 +23,59 @@ tier buys and what it costs on one CPU:
   sequential ternary constant propagation
   (:func:`~repro.atpg.prune.constant_lines`) proves untestable, and
   the analysis time it took — the budget PODEM never has to spend.
-
-The report is written atomically so an interrupted run never leaves a
-truncated baseline file.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from typing import Callable, Optional
+from typing import Optional
 
 from ..analysis.dataflow import DataflowCertificate, analyze_dataflow
 from ..atpg.faults import full_fault_list
 from ..atpg.prune import constant_lines, prune_untestable
-from ..bench import load, names
+from ..bench import load
 from ..cost import CostModel, narrow_design
 from ..etpn.from_dfg import default_design
 from ..gates import expand_to_gates
 from ..rtl import generate_rtl
-from ..runtime.atomic import atomic_write_text
 from ..synth import run_ours
+from .benchkit import Progress, best_of, sweep, write_report
 
 #: Report schema tag, bumped when the cell layout changes.
 SCHEMA = "repro.bench_dataflow/v1"
 
+#: One-line statement of the measurement discipline.
+PROTOCOL = ("analysis cold = the first in-process fixpoint, warm = min "
+            "over it and the remaining repeats; certificates self-checked "
+            "under random vectors; narrowing priced on the default and "
+            "ours designs; pruning = faults on the ours netlist that "
+            "sequential constant propagation proves untestable")
+
 #: Design flows whose narrowing effect each cell records.
 FLOWS = ("default", "ours")
-
-
-def _assumptions(dfg, bits: int, input_bits: int) -> dict[str,
-                                                          tuple[int, int]]:
-    hi = (1 << min(input_bits, bits)) - 1
-    return {v.name: (0, hi) for v in dfg.inputs()}
-
-
-def _timed_analysis(dfg, bits: int, repeats: int,
-                    assumptions=None) -> tuple[DataflowCertificate,
-                                               float, float]:
-    """(certificate, cold seconds, warm seconds) for one fixpoint."""
-    cert = analyze_dataflow(dfg, bits, assumptions=assumptions)
-    cold = cert.elapsed_seconds
-    warm = cold
-    for _ in range(max(0, repeats - 1)):
-        again = analyze_dataflow(dfg, bits, assumptions=assumptions)
-        warm = min(warm, again.elapsed_seconds)
-    return cert, cold, warm
 
 
 def time_cell(benchmark: str, bits: int, repeats: int, vectors: int,
               input_bits: int) -> dict:
     """One cell: analysis timing, cert checks, narrowing, pruning."""
     dfg = load(benchmark)
-    plain, cold, warm = _timed_analysis(dfg, bits, repeats)
+
+    def run() -> DataflowCertificate:
+        return analyze_dataflow(dfg, bits)
+
+    cold, plain = best_of(run, 1)  # the first in-process run
+    warm = min(cold, best_of(run, repeats - 1)[0]) if repeats > 1 else cold
     plain_problems = plain.check(dfg, vectors=vectors)
 
-    assumptions = _assumptions(dfg, bits, input_bits)
-    assumed, _, _ = _timed_analysis(dfg, bits, 1, assumptions=assumptions)
+    hi = (1 << min(input_bits, bits)) - 1
+    assumptions = {v.name: (0, hi) for v in dfg.inputs()}
+    assumed = analyze_dataflow(dfg, bits, assumptions=assumptions)
     assumed_problems = assumed.check(dfg, vectors=vectors)
 
+    designs = {"default": default_design(dfg),
+               "ours": run_ours(dfg, cost_model=CostModel(bits=bits)).design}
     flows = {}
-    ours_design = None
     for flow in FLOWS:
-        if flow == "default":
-            design = default_design(dfg)
-        else:
-            design = run_ours(dfg, cost_model=CostModel(bits=bits)).design
-            ours_design = design
-        report = narrow_design(design, bits, assumptions=assumptions,
+        report = narrow_design(designs[flow], bits, assumptions=assumptions,
                                cert=assumed)
         flows[flow] = {
             "cert_check_ok": not report.certificate.check(dfg,
@@ -99,12 +84,9 @@ def time_cell(benchmark: str, bits: int, repeats: int, vectors: int,
             **report.to_dict(),
         }
 
-    assert ours_design is not None  # FLOWS always contains "ours"
-    netlist = expand_to_gates(generate_rtl(ours_design, bits))
+    netlist = expand_to_gates(generate_rtl(designs["ours"], bits))
     faults = full_fault_list(netlist)
-    t0 = time.perf_counter()
-    constants = constant_lines(netlist)
-    prune_seconds = time.perf_counter() - t0
+    prune_seconds, constants = best_of(lambda: constant_lines(netlist), 1)
     _kept, pruned = prune_untestable(faults, constants)
 
     return {
@@ -137,35 +119,29 @@ def time_cell(benchmark: str, bits: int, repeats: int, vectors: int,
 def run_bench_dataflow(bits: Optional[list[int]] = None, repeats: int = 3,
                        vectors: int = 64, input_bits: int = 8,
                        output: str = "BENCH_dataflow.json",
-                       progress: Optional[Callable[[str], None]] = None
-                       ) -> dict:
+                       progress: Progress = None) -> dict:
     """Run every benchmark × width cell and write the baseline file.
 
     Returns the report dict (also written to ``output`` atomically).
     """
-    widths = bits if bits is not None else [4, 8, 16]
-    cells = []
-    for benchmark in names():
-        for width in widths:
-            cell = time_cell(benchmark, width, repeats, vectors, input_bits)
-            cells.append(cell)
-            if progress is not None:
-                deltas = ", ".join(
-                    f"{flow} {cell['flows'][flow]['area_delta_pct']:+.1f}%"
-                    for flow in FLOWS)
-                progress(f"{benchmark}/{width}-bit: analysis "
-                         f"{cell['analysis_warm_seconds'] * 1e3:.2f}ms, "
-                         f"{cell['prune']['pruned']} faults pruned, "
-                         f"area {deltas}")
+    def describe(cell: dict) -> str:
+        deltas = ", ".join(
+            f"{flow} {cell['flows'][flow]['area_delta_pct']:+.1f}%"
+            for flow in FLOWS)
+        return (f"analysis {cell['analysis_warm_seconds'] * 1e3:.2f}ms, "
+                f"{cell['prune']['pruned']} faults pruned, area {deltas}")
 
+    cells = sweep(bits if bits is not None else [4, 8, 16],
+                  lambda benchmark, width: time_cell(
+                      benchmark, width, repeats, vectors, input_bits),
+                  describe, progress)
     with_pruned = {c["benchmark"] for c in cells
                    if c["prune"]["pruned"] > 0}
     with_delta = {c["benchmark"] for c in cells
                   if any(c["flows"][f]["applied"]
                          and c["flows"][f]["area_delta_mm2"] > 0
                          for f in FLOWS)}
-    report = {
-        "schema": SCHEMA,
+    return write_report(output, SCHEMA, PROTOCOL, {
         "input_assumption": f"primary inputs occupy at most "
                             f"min({input_bits}, bits) bits in the "
                             f"narrowing cells",
@@ -181,6 +157,15 @@ def run_bench_dataflow(bits: Optional[list[int]] = None, repeats: int = 3,
         "all_narrowing_equivalence_valid": all(
             c["flows"][f]["equivalence_valid"]
             for c in cells for f in FLOWS),
-    }
-    atomic_write_text(output, json.dumps(report, indent=2) + "\n")
-    return report
+    })
+
+
+#: The ``bench-dataflow`` result line, formatted over the report.
+SUMMARY = ("{cells_total} cells, certs ok: {all_certs_ok}, benchmarks "
+           "with pruned faults: {benchmarks_with_pruned}, with narrowing "
+           "savings: {benchmarks_with_area_delta}")
+
+
+def passed(report: dict) -> bool:
+    """Every certificate must pass its self-check."""
+    return bool(report["all_certs_ok"])

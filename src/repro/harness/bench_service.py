@@ -24,18 +24,24 @@ the benchmark fails (exit 1) if they do not.
 
 from __future__ import annotations
 
-import json
-import os
 import tempfile
-import time
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
-from ..runtime.atomic import atomic_write_text
 from ..runtime.checkpoint import scrubbed_records
+from .benchkit import Progress, best_of, ratio, say, write_report
 
-#: Report format tag.
-BENCH_FORMAT = "repro-bench-service-v1"
+#: Report schema tag.
+SCHEMA = "repro-bench-service-v1"
+
+#: What the three drains measure (recorded verbatim in the report).
+PROTOCOL = (
+    "three inline single-worker drains in one process on a "
+    "single-CPU container; cold runs first (fresh cache), warm "
+    "reuses the cold cache, the fault round injects one "
+    "transient service.dispatch failure and one poison job "
+    "(unknown benchmark) with max_attempts=2; cold-vs-warm "
+    "scrubbed results must be byte-identical")
 
 #: Quick per-job knobs: small fault sample and random-phase budgets so
 #: one job is ~a second on the container, matching the chaos scenarios.
@@ -44,127 +50,89 @@ QUICK_JOB_KNOBS = {"fault_fraction": 0.3, "max_sequences": 4,
                    "max_backtracks": 50}
 
 
-def _submit_jobs(spool: Any, benchmarks: list[str],
-                 bits: int) -> list[str]:
-    from ..service import JobRequest
-    job_ids = []
-    for benchmark in benchmarks:
-        jid, _ = spool.submit(JobRequest(benchmark=benchmark, flow="ours",
-                                         bits=bits, **QUICK_JOB_KNOBS))
-        job_ids.append(jid)
-    return job_ids
+def _round(root: Path, name: str, benchmarks: list[str], bits: int,
+           faults: bool = False) -> tuple[dict[str, Any], str]:
+    """One inline drain of the job set on a fresh spool over the shared
+    cache: its report entry and its scrubbed results.  ``faults`` adds
+    a poison job (unknown benchmark) and one transient
+    ``service.dispatch`` failure, and quarantines after two attempts."""
+    from contextlib import nullcontext
 
+    from ..runtime.chaos import ChaosInjector, Injection
+    from ..service import (JobRequest, RetryPolicy, Spool, Supervisor,
+                           service_stats)
+    from .cache import ResultCache
 
-def _drain(spool: Any, cache_dir: Path, *,
-           max_attempts: int = 3) -> tuple[Any, float]:
-    from ..harness.cache import ResultCache
-    from ..service import RetryPolicy, Supervisor
+    spool = Spool(root / f"spool-{name}")
+    job_ids = [spool.submit(JobRequest(benchmark=benchmark, flow="ours",
+                                       bits=bits, **QUICK_JOB_KNOBS))[0]
+               for benchmark in benchmarks]
+    if faults:
+        spool.submit(JobRequest(benchmark="bench-service-poison", bits=bits))
     supervisor = Supervisor(
-        spool, retry=RetryPolicy(max_attempts=max_attempts,
+        spool, retry=RetryPolicy(max_attempts=2 if faults else 3,
                                  backoff_base=0.0),
-        cache=ResultCache(cache_dir=cache_dir))
-    started = time.perf_counter()
-    outcome = supervisor.run()
-    return outcome, time.perf_counter() - started
-
-
-def _round_report(spool: Any, job_ids: list[str], outcome: Any,
-                  elapsed: float) -> dict[str, Any]:
-    from ..service import service_stats
-    stats = service_stats(spool)
+        cache=ResultCache(cache_dir=root / "cache"))
+    with (ChaosInjector(Injection(seam="service.dispatch", action="raise",
+                                  at_visit=1)) if faults else nullcontext()):
+        elapsed, outcome = best_of(supervisor.run, 1)
+    states = spool.states()
+    records = [spool.read_result(jid) for jid in job_ids]
     return {
         "elapsed_seconds": round(elapsed, 4),
         "jobs_done": outcome.done,
         "retries": outcome.retried,
         "quarantined": outcome.quarantined,
-        "throughput_done_per_second": (round(outcome.done / elapsed, 4)
-                                       if elapsed > 0 else None),
-        "attempts": stats["attempts"],
+        "throughput_done_per_second": ratio(outcome.done, elapsed, 4),
+        "attempts": service_stats(spool)["attempts"],
         "all_real_jobs_done": all(
-            spool.states()[jid].state == "done" for jid in job_ids),
-    }
-
-
-def _scrubbed_results(spool: Any, job_ids: list[str]) -> str:
-    records = [spool.read_result(jid) for jid in job_ids]
-    return scrubbed_records([r for r in records if r is not None])
+            states[jid].state == "done" for jid in job_ids),
+    }, scrubbed_records([r for r in records if r is not None])
 
 
 def run_bench_service(*, benchmarks: Optional[list[str]] = None,
                       bits: int = 4,
                       output: str = "BENCH_service.json",
                       workdir: Optional[str] = None,
-                      progress: Optional[Callable[[str], None]] = None
-                      ) -> dict[str, Any]:
+                      progress: Progress = None) -> dict[str, Any]:
     """Run the three service rounds and write the report.
 
     Returns the report dict (also written to ``output`` atomically).
     """
-    from ..runtime.chaos import ChaosInjector, Injection
-    from ..service import JobRequest, Spool
-
     benchmarks = list(benchmarks or ["ex", "paulin", "tseng"])
     root = Path(workdir) if workdir else Path(tempfile.mkdtemp(
         prefix="repro-bench-service-"))
     root.mkdir(parents=True, exist_ok=True)
-    cache_dir = root / "cache"
 
-    def say(message: str) -> None:
-        if progress:
-            progress(message)
+    say(progress, f"cold drain: {len(benchmarks)} jobs, empty cache ...")
+    cold, cold_results = _round(root, "cold", benchmarks, bits)
+    say(progress, "warm drain: same jobs, warm content-hash cache ...")
+    warm, warm_results = _round(root, "warm", benchmarks, bits)
+    say(progress, "fault drain: injected transient failure + poison job ...")
+    fault, _ = _round(root, "faults", benchmarks, bits, faults=True)
 
-    # --- cold: fresh spool, fresh cache -------------------------------
-    say(f"cold drain: {len(benchmarks)} jobs, empty cache ...")
-    cold_spool = Spool(root / "spool-cold")
-    cold_jobs = _submit_jobs(cold_spool, benchmarks, bits)
-    cold_outcome, cold_elapsed = _drain(cold_spool, cache_dir)
-    cold = _round_report(cold_spool, cold_jobs, cold_outcome, cold_elapsed)
-
-    # --- warm: fresh spool, the cold run's cache ----------------------
-    say("warm drain: same jobs, warm content-hash cache ...")
-    warm_spool = Spool(root / "spool-warm")
-    warm_jobs = _submit_jobs(warm_spool, benchmarks, bits)
-    warm_outcome, warm_elapsed = _drain(warm_spool, cache_dir)
-    warm = _round_report(warm_spool, warm_jobs, warm_outcome, warm_elapsed)
-
-    results_identical = (_scrubbed_results(cold_spool, cold_jobs)
-                         == _scrubbed_results(warm_spool, warm_jobs))
-
-    # --- faults: transient dispatch failure + one poison job ----------
-    say("fault drain: injected transient failure + poison job ...")
-    fault_spool = Spool(root / "spool-faults")
-    fault_jobs = _submit_jobs(fault_spool, benchmarks, bits)
-    fault_spool.submit(JobRequest(benchmark="bench-service-poison",
-                                  bits=bits))
-    with ChaosInjector(Injection(seam="service.dispatch",
-                                 action="raise", at_visit=1)):
-        fault_outcome, fault_elapsed = _drain(fault_spool, cache_dir,
-                                              max_attempts=2)
-    fault = _round_report(fault_spool, fault_jobs, fault_outcome,
-                          fault_elapsed)
-
-    warm_speedup = (round(cold_elapsed / warm_elapsed, 2)
-                    if warm_elapsed > 0 else None)
-    report: dict[str, Any] = {
-        "format": BENCH_FORMAT,
+    return write_report(output, SCHEMA, PROTOCOL, {
         "benchmarks": benchmarks,
         "bits": bits,
         "jobs": len(benchmarks),
-        "cpu_count": os.cpu_count(),
         "workers": 1,
-        "protocol": (
-            "three inline single-worker drains in one process on a "
-            "single-CPU container; cold runs first (fresh cache), warm "
-            "reuses the cold cache, the fault round injects one "
-            "transient service.dispatch failure and one poison job "
-            "(unknown benchmark) with max_attempts=2; cold-vs-warm "
-            "scrubbed results must be byte-identical"),
         "cold": cold,
         "warm": warm,
         "fault_round": fault,
-        "warm_speedup": warm_speedup,
-        "results_identical": results_identical,
-    }
-    atomic_write_text(Path(output), json.dumps(report, indent=2,
-                                               sort_keys=True) + "\n")
-    return report
+        "warm_speedup": ratio(cold["elapsed_seconds"],
+                              warm["elapsed_seconds"]),
+        "results_identical": cold_results == warm_results,
+    })
+
+
+#: The ``bench-service`` result line, formatted over the report.
+SUMMARY = ("{jobs} jobs, warm speedup {warm_speedup}x, fault round: "
+           "{fault_round[retries]} retries, {fault_round[quarantined]} "
+           "quarantined, results identical: {results_identical}")
+
+
+def passed(report: dict[str, Any]) -> bool:
+    """Cold and warm results must match and every real job must finish
+    despite the injected faults."""
+    return bool(report["results_identical"]
+                and report["fault_round"]["all_real_jobs_done"])

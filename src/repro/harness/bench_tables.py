@@ -23,22 +23,20 @@ wall-clock column (:func:`~repro.runtime.checkpoint.scrubbed_records`),
 and the report says so explicitly (``rows_identical``) — a speedup
 that changes the numbers is a bug, not a win.
 
-The report is written atomically
-(:func:`~repro.runtime.atomic.atomic_write_text`) so an interrupted
-run never leaves a truncated baseline file.
+Every run goes through :func:`~repro.harness.parallel.run_parallel_grid`,
+the same route the ``table1``-``table3`` commands take, so this bench
+times the tables themselves, not a second way of producing them.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import shutil
 import tempfile
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
-from ..runtime.atomic import atomic_write_text
 from ..runtime.checkpoint import cell_record, scrubbed_records
+from .benchkit import Progress, ratio, say, write_report
 from .cache import ResultCache
 from .experiment import ExperimentConfig, FLOW_ORDER
 from .parallel import run_parallel_grid
@@ -58,12 +56,10 @@ PROTOCOL = (
 
 def _timed_run(benchmark: str, grid: list[tuple[str, int]], workers: int,
                cache: Optional[ResultCache], label: str,
-               progress: Optional[Callable[[str], None]]
-               ) -> tuple[dict, list[dict]]:
-    """One protocol run: summary dict + journal-shaped cell records."""
-    if progress is not None:
-        progress(f"run {label}: workers={workers}, "
-                 f"cache={'on' if cache is not None else 'off'} ...")
+               progress: Progress) -> tuple[dict, list[dict]]:
+    """One protocol run: its report entry + journal-shaped cell records."""
+    say(progress, f"run {label}: workers={workers}, "
+                  f"cache={'on' if cache is not None else 'off'} ...")
     outcome = run_parallel_grid(benchmark, grid, ExperimentConfig.quick,
                                 workers=workers, cache=cache,
                                 progress=progress)
@@ -71,7 +67,7 @@ def _timed_run(benchmark: str, grid: list[tuple[str, int]], workers: int,
         lost = ", ".join(f"{s.flow}/{s.bits}" for s in outcome.skipped)
         raise RuntimeError(f"bench-tables run {label} lost cells: {lost}")
     records = [cell_record(cell) for cell in outcome.cells]
-    summary = {
+    run = {
         "label": label,
         "workers": outcome.workers,
         "seconds": round(outcome.elapsed_seconds, 3),
@@ -79,14 +75,9 @@ def _timed_run(benchmark: str, grid: list[tuple[str, int]], workers: int,
         "cache": outcome.cache_stats.to_dict(),
         "cache_hit_rate": round(outcome.cache_stats.hit_rate(), 4),
     }
-    if progress is not None:
-        progress(f"run {label}: {summary['seconds']}s, "
-                 f"hit rate {summary['cache_hit_rate']}")
-    return summary, records
-
-
-def _ratio(numerator: float, denominator: float) -> Optional[float]:
-    return round(numerator / denominator, 2) if denominator else None
+    say(progress, f"run {label}: {run['seconds']}s, "
+                  f"hit rate {run['cache_hit_rate']}")
+    return run, records
 
 
 def run_bench_tables(benchmark: str = "ex",
@@ -94,8 +85,7 @@ def run_bench_tables(benchmark: str = "ex",
                      workers: int = 4,
                      output: str = "BENCH_tables.json",
                      cache_dir: Optional[str] = None,
-                     progress: Optional[Callable[[str], None]] = None
-                     ) -> dict:
+                     progress: Progress = None) -> dict:
     """Time the three-run protocol and write the baseline file.
 
     ``cache_dir`` defaults to a throwaway temp directory (deleted
@@ -125,22 +115,26 @@ def run_bench_tables(benchmark: str = "ex",
     scrubbed = scrubbed_records(rows_a)
     rows_identical = (scrubbed == scrubbed_records(rows_b)
                       == scrubbed_records(rows_c))
-    report = {
-        "schema": SCHEMA,
-        "protocol": PROTOCOL,
+    return write_report(output, SCHEMA, PROTOCOL, {
         "benchmark": benchmark,
         "bits": widths,
-        "cpu_count": os.cpu_count(),
         "runs": [sequential, parallel_cold, parallel_warm],
         "cells": [record["row"] for record in rows_a],
         "rows_identical": rows_identical,
-        "speedup_cold": _ratio(sequential["seconds"],
-                               parallel_cold["seconds"]),
-        "speedup_warm": _ratio(sequential["seconds"],
-                               parallel_warm["seconds"]),
-        "speedup": _ratio(sequential["seconds"],
-                          parallel_warm["seconds"]),
+        "speedup_cold": ratio(sequential["seconds"],
+                              parallel_cold["seconds"]),
+        "speedup_warm": ratio(sequential["seconds"],
+                              parallel_warm["seconds"]),
+        "speedup": ratio(sequential["seconds"], parallel_warm["seconds"]),
         "warm_hit_rate": parallel_warm["cache_hit_rate"],
-    }
-    atomic_write_text(output, json.dumps(report, indent=2) + "\n")
-    return report
+    })
+
+
+#: The ``bench-tables`` result line, formatted over the report.
+SUMMARY = ("speedup {speedup}x (parallel-cold {speedup_cold}x, warm hit "
+           "rate {warm_hit_rate}), rows identical: {rows_identical}")
+
+
+def passed(report: dict) -> bool:
+    """All three runs must render identical rows."""
+    return bool(report["rows_identical"])

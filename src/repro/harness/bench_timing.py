@@ -22,26 +22,17 @@ cold one on every timing quantity (arrivals, slacks, levels, paths) —
 cache-statistics fields (``cached``, ``cone_size``, ``pruned``,
 hit/miss counters) legitimately differ, since ``cone_size`` counts
 structures *evaluated*, and are scrubbed before comparison.
-
-The report is written atomically
-(:func:`~repro.runtime.atomic.atomic_write_text`) so an interrupted
-run never leaves a truncated baseline file.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
-from typing import Callable, Optional
-
-from ..analysis.timing import ConeCache, analyze_timing
-from ..bench import load, names
+from ..analysis.timing import ConeCache, TimingReport, analyze_timing
+from ..bench import load
 from ..etpn.from_dfg import default_design
 from ..gates.expand import expand_to_gates
 from ..rtl.generate import generate_rtl
-from ..runtime.atomic import atomic_write_text
 from ..synth.algorithm import SynthesisParams, synthesize
+from .benchkit import Progress, best_of, ratio, sweep, write_report
 
 #: Report schema tag, bumped when the cell layout changes.
 SCHEMA = "repro.bench_timing/v1"
@@ -82,20 +73,12 @@ def time_cell(benchmark: str, bits: int, repeats: int) -> dict:
     primed = ConeCache()
     analyze_timing(net_a, bits=bits, cache=primed, k_paths=0)
 
-    def best_of(make_cache: Callable[[], ConeCache]) -> tuple[float, dict]:
-        best, report = float("inf"), None
-        for _ in range(repeats):
-            cache = make_cache()
-            t0 = time.perf_counter()
-            result = analyze_timing(net_b, bits=bits, cache=cache,
-                                    k_paths=0)
-            elapsed = time.perf_counter() - t0
-            if elapsed < best:
-                best, report = elapsed, result.to_dict()
-        return best, report
+    def run(cache: ConeCache) -> TimingReport:
+        return analyze_timing(net_b, bits=bits, cache=cache, k_paths=0)
 
-    cold_seconds, cold_report = best_of(ConeCache)
-    warm_seconds, warm_report = best_of(primed.clone)
+    cold_seconds, cold = best_of(run, repeats, setup=ConeCache)
+    warm_seconds, warm = best_of(run, repeats, setup=primed.clone)
+    cold_report, warm_report = cold.to_dict(), warm.to_dict()
     return {
         "benchmark": benchmark,
         "bits": bits,
@@ -108,8 +91,7 @@ def time_cell(benchmark: str, bits: int, repeats: int) -> dict:
         "ok": cold_report["ok"],
         "cold_seconds": round(cold_seconds, 6),
         "warm_seconds": round(warm_seconds, 6),
-        "speedup": round(cold_seconds / warm_seconds, 2)
-        if warm_seconds else None,
+        "speedup": ratio(cold_seconds, warm_seconds),
         "reports_match": scrub_cache_stats(cold_report)
         == scrub_cache_stats(warm_report),
     }
@@ -117,41 +99,43 @@ def time_cell(benchmark: str, bits: int, repeats: int) -> dict:
 
 def run_bench_timing(bits: int = 8, repeats: int = 5,
                      output: str = "BENCH_timing.json",
-                     progress: Optional[Callable[[str], None]] = None
-                     ) -> dict:
+                     progress: Progress = None) -> dict:
     """Time every benchmark's one-merger re-analysis and write the
     baseline file.  Returns the report dict (also written to ``output``
     atomically)."""
-    cells = []
-    for benchmark in names():
-        cell = time_cell(benchmark, bits, repeats)
-        cells.append(cell)
-        if progress is not None:
-            progress(f"{benchmark}/{bits}-bit: "
-                     f"cold {cell['cold_seconds'] * 1e3:.2f}ms vs "
-                     f"warm {cell['warm_seconds'] * 1e3:.2f}ms "
-                     f"(x{cell['speedup']}, "
-                     f"{cell['cone_hits_warm']}/{cell['cones_total']} "
-                     f"cones served whole)")
+    cells = sweep([bits],
+                  lambda benchmark, width: time_cell(benchmark, width,
+                                                     repeats),
+                  lambda cell: (f"cold {cell['cold_seconds'] * 1e3:.2f}ms vs "
+                                f"warm {cell['warm_seconds'] * 1e3:.2f}ms "
+                                f"(x{cell['speedup']}, "
+                                f"{cell['cone_hits_warm']}/"
+                                f"{cell['cones_total']} cones served whole)"),
+                  progress)
     cold_total = sum(c["cold_seconds"] for c in cells)
     warm_total = sum(c["warm_seconds"] for c in cells)
-    report = {
-        "schema": SCHEMA,
-        "protocol": PROTOCOL,
+    return write_report(output, SCHEMA, PROTOCOL, {
         "bits": bits,
         "repeats": repeats,
-        "cpu_count": os.cpu_count(),
         "cells": cells,
         "cells_total": len(cells),
         "cold_seconds_total": round(cold_total, 6),
         "warm_seconds_total": round(warm_total, 6),
-        "speedup_total": round(cold_total / warm_total, 2)
-        if warm_total else None,
+        "speedup_total": ratio(cold_total, warm_total),
         "target_speedup": TARGET_SPEEDUP,
         "meets_target": warm_total > 0.0
         and cold_total / warm_total >= TARGET_SPEEDUP,
         "reports_match": all(c["reports_match"] for c in cells),
         "timing_ok": all(c["ok"] for c in cells),
-    }
-    atomic_write_text(output, json.dumps(report, indent=2) + "\n")
-    return report
+    })
+
+
+#: The ``bench-timing`` result line, formatted over the report.
+SUMMARY = ("{cells_total} cells, incremental speedup {speedup_total}x "
+           "(target {target_speedup}x, met: {meets_target}), "
+           "reports identical: {reports_match}")
+
+
+def passed(report: dict) -> bool:
+    """Warm reports must equal cold ones on every timing quantity."""
+    return bool(report["reports_match"])

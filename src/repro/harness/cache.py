@@ -41,7 +41,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Optional, TYPE_CHECKING
+from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from ..runtime.atomic import atomic_write_text
 
@@ -217,14 +217,18 @@ class ResultCache:
                 self._memory.pop(next(iter(self._memory)))
                 self.evictions += 1
 
-    def get(self, key: str) -> Optional[dict]:
-        """The payload stored under ``key``, or None on a miss."""
+    def get(self, key: str,
+            restore: Optional[Callable[[dict], Any]] = None) -> Any:
+        """The payload stored under ``key``, or None on a miss.
+
+        With ``restore``, the result is ``restore(payload)``; a payload
+        it rejects (by raising or returning None) is dropped from the
+        memory tier and counted as a miss, not a hit — the caller is
+        about to recompute it.
+        """
         payload = self._memory.get(key)
-        if payload is not None:
-            self._remember(key, payload)  # refresh recency
-            self.stats.memory_hits += 1
-            return payload
-        if self.cache_dir is not None:
+        from_memory = payload is not None
+        if payload is None and self.cache_dir is not None:
             try:
                 entry = json.loads(self._disk_path(key).read_text())
             except (OSError, ValueError):
@@ -234,11 +238,22 @@ class ResultCache:
                     and entry.get("key") == key
                     and isinstance(entry.get("payload"), dict)):
                 payload = entry["payload"]
-                self._remember(key, payload)
-                self.stats.disk_hits += 1
-                return payload
-        self.stats.misses += 1
-        return None
+        value = payload
+        if payload is not None and restore is not None:
+            try:
+                value = restore(payload)
+            except Exception:  # noqa: BLE001 - corrupt entry == miss
+                value = None
+        if value is None:
+            self._memory.pop(key, None)
+            self.stats.misses += 1
+            return None
+        self._remember(key, payload)  # insert or refresh recency
+        if from_memory:
+            self.stats.memory_hits += 1
+        else:
+            self.stats.disk_hits += 1
+        return value
 
     def put(self, key: str, payload: dict) -> None:
         """Store ``payload`` in every configured tier."""
@@ -259,14 +274,7 @@ class ResultCache:
     # ------------------------------------------------------------------
     def get_synthesis(self, key: str) -> "SynthesisResult | None":
         """A cached synthesis result, rebuilt and re-validated."""
-        payload = self.get(key)
-        if payload is None:
-            return None
-        try:
-            return _restore_synthesis(payload)
-        except Exception:  # noqa: BLE001 - corrupt entry == miss
-            self._memory.pop(key, None)
-            return None
+        return self.get(key, _restore_synthesis)
 
     def put_synthesis(self, key: str, result: "SynthesisResult") -> None:
         """Store a *complete* synthesis result (degraded runs are not
@@ -281,10 +289,8 @@ class ResultCache:
     # ------------------------------------------------------------------
     def get_cell(self, key: str) -> Optional[dict]:
         """A cached cell's journal-style record, or None."""
-        payload = self.get(key)
-        if payload is not None and payload.get("kind") == "cell":
-            return payload
-        return None
+        return self.get(key, lambda payload: payload
+                        if payload.get("kind") == "cell" else None)
 
     def put_cell(self, key: str, record: dict) -> None:
         """Store one completed cell's journal-style record."""

@@ -42,6 +42,7 @@ too.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import nullcontext
@@ -54,6 +55,15 @@ from ..runtime.chaos import (ChaosCrash, ChaosInjector, Injection,
                              active_injector, chaos_point, clear_injector)
 from ..runtime.checkpoint import CellKey, Journal, restore_cell
 from .cache import CacheStats, ResultCache, run_cell_cached
+
+
+def _worker_count(workers: Optional[int]) -> int:
+    """``workers``, or the CPU count for None; below 1 is an error."""
+    if workers is None:
+        return os.cpu_count() or 1
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    return workers
 
 
 @dataclass(frozen=True)
@@ -238,7 +248,8 @@ def run_parallel_grid(benchmark: str,
         benchmark: the benchmark every cell runs.
         grid: (flow, bits) pairs in table order.
         config_for: bits -> ExperimentConfig for that column.
-        workers: process count; None = ``os.cpu_count()``, 1 = inline.
+        workers: process count (at least 1); None = ``os.cpu_count()``,
+            1 = inline.
         journal: completed-cell ledger; written only by this (parent)
             process, one fsynced append per completed cell.
         resume: replay cells already in ``journal``.
@@ -264,11 +275,9 @@ def run_parallel_grid(benchmark: str,
         ``interrupted`` set; each of them is already journaled, so
         ``resume`` continues where the interrupt landed.
     """
-    import os
-
     started = time.perf_counter()
     grid = list(grid)
-    workers = workers or os.cpu_count() or 1
+    workers = _worker_count(workers)
     if budget is not None:
         workers = 1  # a shared Budget cannot cross process boundaries
     worker_chaos = worker_chaos or {}
@@ -356,7 +365,6 @@ def explore_grid(benchmark: str, bits: int,
     signature *in grid order*, so the returned points match the
     sequential sweep exactly regardless of completion order.
     """
-    import os
     from itertools import repeat
 
     from ..bench import load
@@ -364,9 +372,9 @@ def explore_grid(benchmark: str, bits: int,
     from ..synth.explore import (DEFAULT_GRID, distinct_points, explore,
                                  explore_point)
 
+    workers = _worker_count(workers)
     grid = list(grid or DEFAULT_GRID)
     dfg, cost_model = load(benchmark), CostModel(bits=bits)
-    workers = workers or os.cpu_count() or 1
     if workers == 1:
         return explore(dfg, cost_model, grid, cache=cache)
 

@@ -186,8 +186,10 @@ class Supervisor:
                  cache: Any = None,
                  progress: Optional[Callable[[str], None]] = None,
                  sleep: Callable[[float], None] = time.sleep) -> None:
+        if workers < 1:
+            raise ValueError(f"workers must be at least 1, got {workers}")
         self.spool = spool
-        self.workers = max(1, workers)
+        self.workers = workers
         self.isolate = isolate or self.workers > 1
         self.retry = retry or RetryPolicy()
         self.default_deadline = default_deadline

@@ -76,6 +76,8 @@ class TestWorkersValidation:
         ["table3", "--bits", "4"],
         ["bench", "ex", "--flow", "camad", "--bits", "4"],
         ["explore", "ex", "--bits", "4"],
+        ["bench-tables", "--bits", "4"],
+        ["serve", "run"],
     ])
     @pytest.mark.parametrize("workers", ["-1", "0", "two"])
     def test_workers_below_one_is_a_usage_error(self, argv, workers,
@@ -85,3 +87,60 @@ class TestWorkersValidation:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--workers" in err and "Traceback" not in err
+
+
+class TestWorkersValidationApi:
+    """The Python APIs reject what the CLI rejects; None = CPU count."""
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_run_parallel_grid(self, workers):
+        from repro.harness import ExperimentConfig
+        from repro.harness.parallel import run_parallel_grid
+        with pytest.raises(ValueError, match="at least 1"):
+            run_parallel_grid("ex", [("camad", 4)], ExperimentConfig.quick,
+                              workers=workers)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_explore_grid(self, workers):
+        from repro.harness.parallel import explore_grid
+        with pytest.raises(ValueError, match="at least 1"):
+            explore_grid("ex", 4, workers=workers)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_supervisor(self, tmp_path, workers):
+        from repro.service import Spool, Supervisor
+        with pytest.raises(ValueError, match="at least 1"):
+            Supervisor(Spool(tmp_path), workers=workers)
+
+    def test_none_means_the_cpu_count(self):
+        import os
+
+        from repro.harness import ExperimentConfig
+        from repro.harness.parallel import run_parallel_grid
+        outcome = run_parallel_grid("ex", [], ExperimentConfig.quick,
+                                    workers=None)
+        assert outcome.workers == (os.cpu_count() or 1)
+
+
+class TestAnalysisTargets:
+    """lint, analyze, timing and dataflow share one target resolver."""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze"], ["analyze", "--structural"], ["analyze", "--cross-check"],
+        ["timing"], ["dataflow"],
+    ])
+    def test_uncompilable_hdl_exits_2(self, argv, tmp_path, capsys):
+        source = tmp_path / "bad.hdl"
+        source.write_text("design bad; input a; begin x := a +; end")
+        assert main(argv + [str(source)]) == 2
+        captured = capsys.readouterr()
+        assert "cannot compile" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["lint", "analyze", "timing",
+                                         "dataflow"])
+    def test_unknown_target_after_a_good_one_exits_2(self, command, capsys):
+        assert main([command, "ex", "nothere", "--bits", "4"]) == 2
+        captured = capsys.readouterr()
+        assert "neither a registered benchmark" in captured.err
+        assert captured.out == ""

@@ -1,5 +1,7 @@
 """Content-hash result cache: keys, tiers, hit/cold equivalence."""
 
+import json
+
 from repro.atpg import RandomPhaseConfig
 from repro.bench import load
 from repro.harness import ExperimentConfig, render_table, \
@@ -67,6 +69,20 @@ class TestSynthesisTier:
         assert delta.memory_hits == 1 and delta.misses == 0
         wide.design.validate()  # the restored design is structurally sound
 
+    def test_unrestorable_payload_is_a_miss_not_a_hit(self, tmp_path):
+        shared = tmp_path / "cache"
+        synthesize_flow_result("ex", "camad", 4,
+                               cache=ResultCache(cache_dir=shared))
+        [entry] = shared.glob("*/*.json")
+        data = json.loads(entry.read_text())
+        data["payload"]["design"] = {"format": "not-a-design"}
+        entry.write_text(json.dumps(data))
+        fresh = ResultCache(cache_dir=shared)
+        result = synthesize_flow_result("ex", "camad", 4, cache=fresh)
+        result.design.validate()  # recomputed, not restored
+        assert fresh.stats.hits == 0
+        assert fresh.stats.misses == 1 and fresh.stats.stores == 1
+
     def test_degraded_synthesis_never_stored(self):
         class Starved:
             degraded = True
@@ -131,6 +147,13 @@ class TestCellTier:
         reader = ResultCache(cache_dir=tmp_path)
         assert reader.get("aa" + "0" * 62) is None
         assert reader.stats.misses == 1
+
+    def test_non_cell_payload_is_a_cell_miss(self, tmp_path):
+        cache = ResultCache(cache_dir=tmp_path)
+        cache.put("dd" + "0" * 62, {"kind": "synthesis"})
+        assert cache.get_cell("dd" + "0" * 62) is None
+        assert cache.stats.hits == 0 and cache.stats.misses == 1
+        assert len(cache) == 0  # dropped from the memory tier too
 
     def test_wrong_key_disk_entry_is_a_miss(self, tmp_path):
         writer = ResultCache(cache_dir=tmp_path)
